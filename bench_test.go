@@ -8,6 +8,7 @@ package quicksand
 // regressions in *behaviour*, not just wall time, are visible.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -159,6 +160,83 @@ func BenchmarkKernelScheduleStep(b *testing.B) {
 		k.After(time.Microsecond, noop)
 		for k.Step() {
 		}
+	}
+}
+
+// BenchmarkProcSwitch measures process park and resume: two
+// processes ping-pong, either by yielding the instant to each other or
+// through a pair of unbuffered sim.Chans. One op is one round trip, in
+// which each process parks and is resumed once.
+func BenchmarkProcSwitch(b *testing.B) {
+	b.Run("yield", func(b *testing.B) {
+		b.ReportAllocs()
+		k := sim.NewKernel(1)
+		defer k.Close()
+		for i := 0; i < 2; i++ {
+			k.Spawn("yielder", func(p *sim.Proc) {
+				for j := 0; j < b.N; j++ {
+					p.Yield()
+				}
+			})
+		}
+		b.ResetTimer()
+		k.Run()
+	})
+	b.Run("chan", func(b *testing.B) {
+		b.ReportAllocs()
+		k := sim.NewKernel(1)
+		defer k.Close()
+		ping, pong := sim.NewChan[int](k, 0), sim.NewChan[int](k, 0)
+		k.Spawn("ping", func(p *sim.Proc) {
+			for j := 0; j < b.N; j++ {
+				ping.Send(p, j)
+				pong.Recv(p)
+			}
+		})
+		k.Spawn("pong", func(p *sim.Proc) {
+			for j := 0; j < b.N; j++ {
+				v, _ := ping.Recv(p)
+				pong.Send(p, v)
+			}
+		})
+		b.ResetTimer()
+		k.Run()
+	})
+}
+
+// BenchmarkParKernelWindow measures the window barrier: 8 shards, each
+// with one tick of light work per lookahead window plus one cross-shard
+// message, so every window has all shards runnable. One op is one
+// window. At P=1 the shards run on the calling goroutine; at P=2 every
+// window crosses the barrier.
+func BenchmarkParKernelWindow(b *testing.B) {
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("P=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			const shards = 8
+			const lookahead = 2 * sim.Microsecond
+			pk := sim.NewParKernel(1, shards, lookahead)
+			defer pk.Close()
+			pk.SetWorkers(workers)
+			noop := func() {}
+			for s := 0; s < shards; s++ {
+				s := s
+				k := pk.Shard(s)
+				k.Every(0, time.Duration(lookahead), func() bool {
+					for i := 0; i < 4; i++ {
+						k.After(time.Duration(i)*time.Nanosecond, noop)
+					}
+					pk.Send(s, (s+1)%shards, k.Now()+lookahead, noop)
+					return true
+				})
+			}
+			b.ResetTimer()
+			pk.RunUntil(sim.Time(b.N) * lookahead)
+			b.StopTimer()
+			if got := pk.Windows(); got < uint64(b.N) {
+				b.Fatalf("ran %d windows, want at least %d", got, b.N)
+			}
+		})
 	}
 }
 

@@ -1,12 +1,13 @@
 // Package sim provides a deterministic discrete-event simulation kernel
-// with virtual time and goroutine-backed simulated processes.
+// with virtual time and coroutine-backed simulated processes.
 //
-// The kernel executes exactly one simulated process at a time and hands
-// control back and forth over channels, so simulated code is written as
-// ordinary sequential Go while the kernel retains full determinism: given
-// the same seed and the same program, every run produces an identical
-// event order. Virtual time advances only when the kernel pops events
-// from its queue; simulated code never consumes wall-clock time.
+// The kernel executes exactly one simulated process at a time and
+// switches to and from it as a coroutine (iter.Pull), so simulated code
+// is written as ordinary sequential Go while the kernel retains full
+// determinism: given the same seed and the same program, every run
+// produces an identical event order. Virtual time advances only when
+// the kernel pops events from its queue; simulated code never consumes
+// wall-clock time.
 //
 // All Quicksand substrates (machines, networks, proclets) are built on
 // this kernel, which is what makes microsecond-scale claims (migration
@@ -109,34 +110,23 @@ type Kernel struct {
 	nextPID   int64
 	live      int // processes spawned and not yet finished
 	blocked   int // processes currently parked
-	yield     chan yieldMsg
 	curr      *Proc
 	processed uint64
 	stopFlag  bool
 
 	// Worker pool for the spawn-run-die process pattern (RPC handlers,
-	// migration copiers, per-task workers). Each worker is a goroutine,
-	// its resume channel, and a Proc struct, all created once and reused
-	// across process lifetimes; a finished process returns its worker to
-	// the free list instead of letting the goroutine die. A worker whose
-	// process panicked is discarded, never pooled.
+	// migration copiers, per-task workers). Each worker is a coroutine
+	// and a Proc struct, created once and reused across process
+	// lifetimes; a finished process returns its worker to the free list
+	// instead of letting the coroutine end. A worker whose process
+	// panicked is discarded, never pooled.
 	free    []*worker
-	created uint64 // workers (goroutines) ever created
-}
-
-type yieldMsg struct {
-	p        *Proc
-	done     bool
-	panicked bool
-	panicVal any
+	created uint64 // workers (coroutines) ever created
 }
 
 // NewKernel returns a kernel whose random source is seeded with seed.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{
-		rng:   rand.New(rand.NewSource(seed)),
-		yield: make(chan yieldMsg),
-	}
+	return &Kernel{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -240,13 +230,21 @@ func (k *Kernel) heapPop() event {
 
 // nowqPop removes and returns the FIFO head. The backing array is
 // reused once the queue drains, so steady-state same-instant traffic
-// allocates nothing.
+// allocates nothing. A queue that never drains (processes yielding to
+// each other at one instant) slides its live entries down once the
+// popped prefix is half the slice, instead of growing without bound.
 func (k *Kernel) nowqPop() event {
 	e := k.nowq[k.nowHead]
 	k.nowq[k.nowHead] = event{} // release payload references to the GC
 	k.nowHead++
-	if k.nowHead == len(k.nowq) {
+	switch {
+	case k.nowHead == len(k.nowq):
 		k.nowq = k.nowq[:0]
+		k.nowHead = 0
+	case k.nowHead >= 64 && 2*k.nowHead >= len(k.nowq):
+		n := copy(k.nowq, k.nowq[k.nowHead:])
+		clear(k.nowq[n:])
+		k.nowq = k.nowq[:n]
 		k.nowHead = 0
 	}
 	return e
@@ -337,66 +335,6 @@ func (k *Kernel) Every(t0 Time, period time.Duration, fn func() bool) {
 	k.Schedule(at, tick)
 }
 
-// worker is a pooled execution vehicle for simulated processes: one
-// goroutine, one resume channel, and one Proc struct, created together
-// and reused across process lifetimes. Between lifetimes the goroutine
-// parks on the resume channel inside loop; handing it a new fn costs a
-// channel send instead of a goroutine creation. The unbuffered resume
-// channel orders every kernel-side write to w.p/w.fn before the worker
-// goroutine reads them, so reuse is race-free.
-type worker struct {
-	k      *Kernel
-	resume chan struct{}
-	p      *Proc
-	fn     func(p *Proc) // next body to run; nil send retires the worker
-}
-
-func (w *worker) loop() {
-	for {
-		<-w.resume
-		if w.fn == nil {
-			return // retired by Kernel.Close
-		}
-		if !w.runOne() {
-			return // body panicked; this goroutine is done for
-		}
-	}
-}
-
-// runOne executes one process lifetime and reports whether the worker
-// may be reused. A panic in the body is captured and forwarded to the
-// kernel, and the worker goroutine exits: its internal state is
-// suspect, so the pool never sees it again.
-func (w *worker) runOne() (ok bool) {
-	p, fn := w.p, w.fn
-	w.fn = nil
-	defer func() {
-		msg := yieldMsg{p: p, done: true}
-		if r := recover(); r != nil {
-			msg.panicked = true
-			msg.panicVal = r
-		}
-		w.k.yield <- msg
-	}()
-	fn(p)
-	return true
-}
-
-// getWorker pops a parked worker off the free list or creates one.
-func (k *Kernel) getWorker() *worker {
-	if n := len(k.free); n > 0 {
-		w := k.free[n-1]
-		k.free[n-1] = nil
-		k.free = k.free[:n-1]
-		return w
-	}
-	k.created++
-	w := &worker{k: k, resume: make(chan struct{})}
-	w.p = &Proc{k: k, w: w, resume: w.resume}
-	go w.loop()
-	return w
-}
-
 // Spawn starts a new simulated process running fn. The process begins
 // executing at the current virtual time, after the caller yields back to
 // the kernel.
@@ -430,53 +368,13 @@ func (k *Kernel) spawnProc(fn func(p *Proc)) *Proc {
 	return p
 }
 
-// Close retires the parked workers on the free list, letting their
-// goroutines exit. Go never reclaims a blocked goroutine, so code that
-// churns through many kernels (benchmark loops, experiment sweeps)
-// should Close each kernel when done with it. The kernel remains usable
-// after Close; new spawns simply create fresh workers.
-func (k *Kernel) Close() {
-	for _, w := range k.free {
-		w.fn = nil
-		w.resume <- struct{}{}
-	}
-	k.free = k.free[:0]
-}
-
 // PooledWorkers reports the number of idle workers on the free list.
 func (k *Kernel) PooledWorkers() int { return len(k.free) }
 
-// WorkersCreated reports how many worker goroutines the kernel has ever
+// WorkersCreated reports how many worker coroutines the kernel has ever
 // created; the gap between this and the number of processes spawned is
 // the pool's hit count.
 func (k *Kernel) WorkersCreated() uint64 { return k.created }
-
-// resumeAndWait transfers control to p and blocks until p parks or
-// finishes. It must only be called from kernel context.
-func (k *Kernel) resumeAndWait(p *Proc) {
-	if p.finished {
-		return
-	}
-	k.curr = p
-	p.resume <- struct{}{}
-	msg := <-k.yield
-	k.curr = nil
-	if msg.p != p {
-		panic(fmt.Sprintf("sim: yield from %q while running %q", msg.p.Name(), p.Name()))
-	}
-	if msg.done {
-		p.finished = true
-		k.live--
-		if msg.panicked {
-			// The worker goroutine already exited; drop it on the floor
-			// rather than pooling a worker in an unknown state.
-			panic(fmt.Sprintf("sim: process %q panicked at %v: %v", p.Name(), k.now, msg.panicVal))
-		}
-		k.free = append(k.free, p.w)
-		return
-	}
-	k.blocked++
-}
 
 // wake schedules p to resume at the current virtual time.
 func (k *Kernel) wake(p *Proc) {
@@ -543,10 +441,10 @@ func (k *Kernel) RunUntil(t Time) Time {
 // event completes. It may be called from events or simulated processes.
 func (k *Kernel) Stop() { k.stopFlag = true }
 
-// Proc is a simulated process: a goroutine whose execution interleaves
+// Proc is a simulated process: a coroutine whose execution interleaves
 // deterministically with all other simulated processes under kernel
 // control. All blocking methods must be called only from the process's
-// own goroutine.
+// own body.
 //
 // Proc structs are pooled along with their workers: once a process
 // finishes, its struct may be recycled for a later Spawn with a new ID.
@@ -558,7 +456,6 @@ type Proc struct {
 	ID       int64
 	k        *Kernel
 	w        *worker
-	resume   chan struct{}
 	finished bool
 
 	// Lazy naming: name is computed from nameFn the first time Name is
@@ -592,17 +489,6 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
-
-// park yields to the kernel until some other party wakes this process.
-func (p *Proc) park() {
-	if p.k.curr != p {
-		panic(fmt.Sprintf(
-			"sim: blocking call on process %q from outside its own context: fast handlers and kernel events must not block (sleep, lock, channel ops)",
-			p.Name()))
-	}
-	p.k.yield <- yieldMsg{p: p}
-	<-p.resume
-}
 
 // Sleep suspends the process for virtual duration d.
 func (p *Proc) Sleep(d time.Duration) {

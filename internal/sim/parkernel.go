@@ -1,9 +1,10 @@
 // Partitioned conservative-parallel kernel.
 //
 // A ParKernel shards a simulation across S independent Kernel instances
-// (logical shards) and executes them with up to P host worker
-// goroutines. Synchronization follows the classic conservative
-// time-stepped ("bounded lag" / YAWNS-style) protocol: all shards
+// (logical shards) and executes them with up to P host goroutines, each
+// owning a fixed subset of the shards. Synchronization follows the
+// classic conservative time-stepped ("bounded lag" / YAWNS-style)
+// protocol: all shards
 // advance together through a lookahead window [W, W+L) whose width L is
 // the minimum cross-shard propagation latency, so no event a shard
 // executes inside a window can be invalidated by a message from another
@@ -33,7 +34,7 @@ package sim
 
 import (
 	"fmt"
-	"sync"
+	"runtime"
 	"sync/atomic"
 )
 
@@ -42,12 +43,6 @@ import (
 type crossMsg struct {
 	at Time
 	fn func()
-}
-
-// shardTask is one window's worth of work for one shard.
-type shardTask struct {
-	k     *Kernel
-	until Time
 }
 
 // ParKernel coordinates S shard kernels under conservative lookahead
@@ -69,10 +64,10 @@ type ParKernel struct {
 	workers   int
 
 	// mail[src][dst] buffers cross-shard messages sent during a window.
-	// Each slot has exactly one writer (the worker executing shard src)
-	// and is drained single-threaded at the barrier, so it needs no
-	// locking; the window-barrier WaitGroup provides the happens-before
-	// edges in both directions.
+	// Each slot has exactly one writer (the goroutine executing shard
+	// src) and is drained single-threaded at the barrier, so it needs no
+	// locking; the barrier's epoch and pending atomics provide the
+	// happens-before edges in both directions.
 	mail [][][]crossMsg
 
 	// crossSent counts mailbox messages. Shard workers append
@@ -80,13 +75,27 @@ type ParKernel struct {
 	crossSent atomic.Uint64
 	windows   uint64
 
-	// active is a per-window scratch list of shards with runnable work.
-	active []*Kernel
-
-	pool     []chan shardTask // one task channel per started worker
-	poolWG   sync.WaitGroup   // open shard tasks in the current window
-	poolSize int
+	// Shard-affine window barrier. With P workers, barrier goroutine w
+	// (1 <= w < P) runs the shards i with i%P == w and the coordinator
+	// runs set 0. A window is published by writing until (and retire)
+	// and then bumping epoch; pending counts barrier goroutines that
+	// have not finished the window. wake[w] is barrier goroutine w's
+	// 1-slot channel, for when its spin gives up; len(wake) is the P of
+	// the running goroutines, and wake is nil while none run.
+	until   Time
+	retire  bool
+	epoch   atomic.Uint64
+	pending atomic.Int32
+	wake    []chan struct{}
 }
+
+// barrierSpins bounds how many times an idle barrier goroutine yields
+// its thread while waiting for the next window before it blocks on its
+// wake channel. Windows follow each other within microseconds during a
+// run, so spinning is the common case; the bound keeps an idle
+// ParKernel (between RunUntil calls, or abandoned without Close) from
+// burning a core.
+const barrierSpins = 256
 
 // NewParKernel creates a partitioned kernel with the given number of
 // logical shards and a lookahead window of the given width (the minimum
@@ -104,7 +113,6 @@ func NewParKernel(seed int64, shards int, lookahead Time) *ParKernel {
 		shards:    make([]*Kernel, shards),
 		lookahead: lookahead,
 		workers:   1,
-		active:    make([]*Kernel, 0, shards),
 	}
 	for i := range pk.shards {
 		pk.shards[i] = NewKernel(seed + int64(i)*1_000_003)
@@ -136,7 +144,7 @@ func (pk *ParKernel) SetWorkers(p int) {
 	if p > len(pk.shards) {
 		p = len(pk.shards)
 	}
-	if p != pk.poolSize {
+	if p != pk.workers {
 		pk.stopPool()
 	}
 	pk.workers = p
@@ -237,60 +245,107 @@ func (pk *ParKernel) deliver() {
 	}
 }
 
-// startPool launches the worker goroutines. Each worker owns a
-// dedicated task channel; runWindow deals shards round-robin so the
-// assignment of shards to workers is fixed (it only matters for wall
-// clock, never for results).
+// startPool launches the P-1 barrier goroutines.
 func (pk *ParKernel) startPool() {
-	pk.pool = make([]chan shardTask, pk.workers)
-	for w := range pk.pool {
-		ch := make(chan shardTask, len(pk.shards))
-		pk.pool[w] = ch
-		go func() {
-			for task := range ch {
-				task.k.RunUntil(task.until)
-				pk.poolWG.Done()
-			}
-		}()
+	pk.retire = false
+	pk.wake = make([]chan struct{}, pk.workers)
+	for w := 1; w < pk.workers; w++ {
+		wake := make(chan struct{}, 1)
+		pk.wake[w] = wake
+		go pk.barrierLoop(w, pk.workers, pk.epoch.Load(), wake)
 	}
-	pk.poolSize = pk.workers
 }
 
-// stopPool retires the worker goroutines (idempotent).
-func (pk *ParKernel) stopPool() {
-	for _, ch := range pk.pool {
-		close(ch)
+// barrierLoop is barrier goroutine w: it runs its shard set once per
+// published epoch until a window tells it to retire.
+func (pk *ParKernel) barrierLoop(w, stride int, seen uint64, wake chan struct{}) {
+	for {
+		for spins := 0; pk.epoch.Load() == seen; spins++ {
+			if spins < barrierSpins {
+				runtime.Gosched()
+			} else {
+				<-wake
+			}
+		}
+		seen++
+		if pk.retire {
+			pk.pending.Add(-1)
+			return
+		}
+		pk.runSet(w, stride, pk.until)
+		pk.pending.Add(-1)
 	}
-	pk.pool = nil
-	pk.poolSize = 0
+}
+
+// publish hands a window (or retirement) to every barrier goroutine
+// and runs shard set 0 on the calling goroutine meanwhile; it returns
+// once every barrier goroutine has finished. The epoch bump publishes
+// until and retire, and every shard's state since the last barrier;
+// the pending decrements publish each goroutine's shard and mailbox
+// writes back to the coordinator.
+func (pk *ParKernel) publish(until Time, retire bool) {
+	pk.until, pk.retire = until, retire
+	pk.pending.Store(int32(len(pk.wake) - 1))
+	pk.epoch.Add(1)
+	for _, wake := range pk.wake[1:] {
+		select {
+		case wake <- struct{}{}:
+		default:
+		}
+	}
+	if !retire {
+		pk.runSet(0, len(pk.wake), until)
+	}
+	for pk.pending.Load() != 0 {
+		runtime.Gosched()
+	}
+}
+
+// stopPool retires the barrier goroutines (idempotent).
+func (pk *ParKernel) stopPool() {
+	if pk.wake == nil {
+		return
+	}
+	pk.publish(0, true)
+	pk.wake = nil
+}
+
+// runSet runs every shard i = first, first+stride, ... that has an
+// event due by until.
+func (pk *ParKernel) runSet(first, stride int, until Time) {
+	for i := first; i < len(pk.shards); i += stride {
+		sh := pk.shards[i]
+		if at, ok := sh.nextAt(); ok && at <= until {
+			sh.RunUntil(until)
+		}
+	}
 }
 
 // runWindow executes every shard with runnable work up to and including
-// until. The channel send (barrier entry) and WaitGroup wait (barrier
-// exit) establish happens-before edges between the coordinator and each
-// worker, so mailbox slices written during the window are safely read
-// by deliver afterwards.
+// until: on the calling goroutine when P is 1 or at most one shard has
+// work, across the shard-affine barrier otherwise.
 func (pk *ParKernel) runWindow(until Time) {
-	pk.active = pk.active[:0]
-	for _, sh := range pk.shards {
-		if at, ok := sh.nextAt(); ok && at <= until {
-			pk.active = append(pk.active, sh)
-		}
-	}
-	if pk.workers <= 1 || len(pk.active) <= 1 {
-		for _, sh := range pk.active {
-			sh.RunUntil(until)
-		}
+	if pk.workers <= 1 || pk.activeShards(until) <= 1 {
+		pk.runSet(0, 1, until)
 		return
 	}
-	if pk.pool == nil {
+	if pk.wake == nil {
 		pk.startPool()
 	}
-	pk.poolWG.Add(len(pk.active))
-	for i, sh := range pk.active {
-		pk.pool[i%len(pk.pool)] <- shardTask{k: sh, until: until}
+	pk.publish(until, false)
+}
+
+// activeShards counts shards with an event due by until, stopping at 2.
+func (pk *ParKernel) activeShards(until Time) int {
+	n := 0
+	for _, sh := range pk.shards {
+		if at, ok := sh.nextAt(); ok && at <= until {
+			if n++; n == 2 {
+				break
+			}
+		}
 	}
-	pk.poolWG.Wait()
+	return n
 }
 
 // RunUntil executes all shards up to and including virtual time t,
@@ -344,8 +399,8 @@ func (pk *ParKernel) Run() Time {
 	return max
 }
 
-// Close retires the host worker pool and every shard kernel's pooled
-// process goroutines. Call when done with the ParKernel; benchmark
+// Close retires the barrier goroutines and every shard kernel's pooled
+// process coroutines. Call when done with the ParKernel; benchmark
 // loops that build many would otherwise accumulate parked goroutines.
 func (pk *ParKernel) Close() {
 	pk.stopPool()

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -63,19 +64,44 @@ func TestParKernelSingleShardReduction(t *testing.T) {
 	}
 }
 
+// parPhase is one RunUntil call of a parRun: run to until at the given
+// worker count, after closing the ParKernel if closeFirst is set.
+type parPhase struct {
+	workers    int
+	until      Time
+	closeFirst bool
+}
+
+// atWorkers runs the whole horizon in one call at one worker count.
+func atWorkers(p int, horizon Time) []parPhase { return []parPhase{{workers: p, until: horizon}} }
+
+// serially is phases with every worker count replaced by 1: the
+// reference a parallel run of the same phases must match. Where
+// RunUntil calls end fixes window boundaries, and with them the
+// sequence numbers of delivered messages, so the reference must end
+// its calls at the same instants.
+func serially(phases []parPhase) []parPhase {
+	ref := append([]parPhase(nil), phases...)
+	for i := range ref {
+		ref[i].workers = 1
+	}
+	return ref
+}
+
 // parRun executes a canonical multi-shard workload with cross-shard
-// ping-pong traffic at the given worker count and returns per-shard
-// logs and per-shard event counts.
-func parRun(t *testing.T, workers int, horizon Time) ([][]string, []uint64) {
+// ping-pong traffic among the first busy of 4 shards (the rest stay
+// idle), runs it through phases, and returns per-shard logs and
+// per-shard event counts.
+func parRun(t *testing.T, busy int, phases []parPhase) ([][]string, []uint64) {
 	t.Helper()
 	const shards = 4
 	const lookahead = 2 * Microsecond
 	pk := NewParKernel(3, shards, lookahead)
 	defer pk.Close()
-	pk.SetWorkers(workers)
 
+	horizon := phases[len(phases)-1].until
 	logs := make([][]string, shards)
-	for s := 0; s < shards; s++ {
+	for s := 0; s < busy; s++ {
 		s := s
 		k := pk.Shard(s)
 		// Local workload: sleeping processes with RNG draws.
@@ -89,9 +115,9 @@ func parRun(t *testing.T, workers int, horizon Time) ([][]string, []uint64) {
 			})
 		}
 		// Cross-shard traffic: every 4us send a message to the next
-		// shard that lands lookahead+1us later and logs there.
+		// busy shard that lands lookahead+1us later and logs there.
 		k.Every(Microsecond, 4*time.Microsecond, func() bool {
-			dst := (s + 1) % shards
+			dst := (s + 1) % busy
 			at := k.Now() + lookahead + Microsecond
 			from := fmt.Sprintf("s%d@%v", s, k.Now())
 			pk.Send(s, dst, at, func() {
@@ -100,7 +126,13 @@ func parRun(t *testing.T, workers int, horizon Time) ([][]string, []uint64) {
 			return k.Now() < horizon
 		})
 	}
-	pk.RunUntil(horizon)
+	for _, ph := range phases {
+		if ph.closeFirst {
+			pk.Close()
+		}
+		pk.SetWorkers(ph.workers)
+		pk.RunUntil(ph.until)
+	}
 	if pk.CrossMessages() == 0 {
 		t.Fatal("workload sent no cross-shard messages")
 	}
@@ -112,25 +144,80 @@ func parRun(t *testing.T, workers int, horizon Time) ([][]string, []uint64) {
 }
 
 // The same seed must produce byte-identical per-shard behaviour at
-// every worker count: P only chooses concurrency, never order.
+// every worker count: P only chooses concurrency, never order. The
+// same holds across the barrier's lifecycle: the worker count changed
+// between runs, the ParKernel closed and reused, and more workers than
+// shards with work.
 func TestParKernelDeterministicAcrossWorkers(t *testing.T) {
 	const horizon = 120 * Microsecond
-	refLogs, refCounts := parRun(t, 1, horizon)
-	for _, p := range []int{2, 4, 8} {
-		logs, counts := parRun(t, p, horizon)
+	const half = horizon / 2
+	cases := []struct {
+		name   string
+		busy   int
+		phases []parPhase
+	}{
+		{"P=2", 4, atWorkers(2, horizon)},
+		{"P=4", 4, atWorkers(4, horizon)},
+		{"P=8", 4, atWorkers(8, horizon)},
+		{"SetWorkers 4 then 2 between RunUntil calls", 4,
+			[]parPhase{{workers: 4, until: half}, {workers: 2, until: horizon}}},
+		{"Close then reuse", 4,
+			[]parPhase{{workers: 3, until: half}, {workers: 3, until: horizon, closeFirst: true}}},
+		{"P=4 with 2 busy shards", 2, atWorkers(4, horizon)},
+	}
+	for _, c := range cases {
+		refLogs, refCounts := parRun(t, c.busy, serially(c.phases))
+		logs, counts := parRun(t, c.busy, c.phases)
 		if !reflect.DeepEqual(refCounts, counts) {
-			t.Fatalf("P=%d: per-shard event counts %v, want %v", p, counts, refCounts)
+			t.Fatalf("%s: per-shard event counts %v, want %v", c.name, counts, refCounts)
 		}
 		if !reflect.DeepEqual(refLogs, logs) {
-			t.Fatalf("P=%d: shard logs differ from P=1", p)
+			t.Fatalf("%s: shard logs differ from P=1", c.name)
 		}
 	}
 	// And re-running at the same P is identical too.
-	logs, counts := parRun(t, 4, horizon)
-	logs2, counts2 := parRun(t, 4, horizon)
+	logs, counts := parRun(t, 4, atWorkers(4, horizon))
+	logs2, counts2 := parRun(t, 4, atWorkers(4, horizon))
 	if !reflect.DeepEqual(logs, logs2) || !reflect.DeepEqual(counts, counts2) {
 		t.Fatal("two P=4 runs differ")
 	}
+}
+
+// The barrier goroutines must exit when the pool shrinks or the
+// ParKernel closes, not linger spinning or blocked on their wake
+// channels. The workload is events only, so the barrier goroutines are
+// the only goroutines the ParKernel starts.
+func TestParKernelRetiresBarrierGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	const lookahead = 2 * Microsecond
+	pk := NewParKernel(1, 4, lookahead)
+	for s := 0; s < 4; s++ {
+		s := s
+		k := pk.Shard(s)
+		k.Every(0, time.Duration(lookahead), func() bool {
+			pk.Send(s, (s+1)%4, k.Now()+lookahead, func() {})
+			return true
+		})
+	}
+	horizon := Time(0)
+	step := func(p, wantExtra int, what string) {
+		t.Helper()
+		pk.SetWorkers(p)
+		horizon += 20 * Microsecond
+		pk.RunUntil(horizon)
+		if got := runtime.NumGoroutine(); got < base+wantExtra {
+			t.Fatalf("%s: %d goroutines, want %d barrier goroutines above %d", what, got, wantExtra, base)
+		}
+	}
+	step(4, 3, "P=4")
+	pk.SetWorkers(2)
+	waitGoroutines(t, base+1, "after SetWorkers(2)")
+	step(2, 1, "P=2")
+	pk.SetWorkers(1)
+	waitGoroutines(t, base, "after SetWorkers(1)")
+	step(3, 2, "P=3")
+	pk.Close()
+	waitGoroutines(t, base, "after Close")
 }
 
 // Kernel.Every must reschedule seamlessly across window barriers: a

@@ -1,10 +1,30 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 )
+
+// waitGoroutines polls until at most want goroutines remain, failing
+// the test if the count has not come down within a few seconds: an
+// exiting goroutine or coroutine is gone from runtime.NumGoroutine
+// shortly after it returns, but not necessarily at once.
+func waitGoroutines(t *testing.T, want int, what string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		got := runtime.NumGoroutine()
+		if got <= want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines still running, want at most %d", what, got, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
 
 // TestSpawnReusesWorkers: sequential spawn-run-die processes must share
 // one pooled worker goroutine instead of creating one each.
@@ -58,6 +78,7 @@ func TestSpawnOverlappingWorkers(t *testing.T) {
 // TestPanicDoesNotPoisonPool: a panic inside a pooled process must
 // discard that worker, and the next Spawn must get a clean one.
 func TestPanicDoesNotPoisonPool(t *testing.T) {
+	base := runtime.NumGoroutine()
 	k := NewKernel(1)
 	defer k.Close()
 
@@ -82,10 +103,13 @@ func TestPanicDoesNotPoisonPool(t *testing.T) {
 		k.Run()
 	}()
 
-	// The panicked worker must not be back on the free list.
+	// The panicked worker must not be back on the free list, and its
+	// coroutine must have ended: "boom" ran on the primed worker, so no
+	// process coroutine is left at all.
 	if k.PooledWorkers() != 0 {
 		t.Fatalf("PooledWorkers = %d after panic, want 0", k.PooledWorkers())
 	}
+	waitGoroutines(t, base, "after process panic")
 
 	// And the pool still works: subsequent spawns run normally on fresh
 	// workers.
@@ -142,9 +166,10 @@ func TestBlockFromKernelContextPanics(t *testing.T) {
 	k.Run()
 }
 
-// TestCloseRetiresWorkers: Close must empty the free list; the kernel
-// stays usable afterwards.
+// TestCloseRetiresWorkers: Close must empty the free list and end the
+// retired coroutines; the kernel stays usable afterwards.
 func TestCloseRetiresWorkers(t *testing.T) {
+	base := runtime.NumGoroutine()
 	k := NewKernel(1)
 	for i := 0; i < 4; i++ {
 		k.Spawn("w", func(p *Proc) { p.Sleep(time.Microsecond) })
@@ -157,6 +182,7 @@ func TestCloseRetiresWorkers(t *testing.T) {
 	if k.PooledWorkers() != 0 {
 		t.Fatalf("PooledWorkers = %d after Close, want 0", k.PooledWorkers())
 	}
+	waitGoroutines(t, base, "after Close")
 	ran := false
 	k.Spawn("again", func(p *Proc) { ran = true })
 	k.Run()
@@ -164,4 +190,30 @@ func TestCloseRetiresWorkers(t *testing.T) {
 		t.Fatal("spawn after Close did not run")
 	}
 	k.Close()
+	waitGoroutines(t, base, "after second Close")
+}
+
+// TestSwitchAllocationFree: once the pool and the event queues are
+// warm, a park/resume round trip (Yield: park, wake event, resume)
+// allocates nothing.
+func TestSwitchAllocationFree(t *testing.T) {
+	k := NewKernel(1)
+	defer k.Close()
+	stop := false
+	k.Spawn("yielder", func(p *Proc) {
+		for !stop {
+			p.Yield()
+		}
+	})
+	for i := 0; i < 100; i++ {
+		k.Step()
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { k.Step() }); allocs != 0 {
+		t.Fatalf("park/resume round trip allocates %v times, want 0", allocs)
+	}
+	stop = true
+	k.Run()
+	if k.Live() != 0 {
+		t.Fatalf("Live = %d after the yielder stopped, want 0", k.Live())
+	}
 }
