@@ -726,11 +726,8 @@ func runServe(sys *core.System, horizon sim.Time, out io.Writer) error {
 	}
 
 	hist := metrics.NewLogHistogram("serve.latency")
-	var queue []load.Request
-	qhead := 0
-	inj := load.NewInjector(sys.K, 250*time.Microsecond, func(r load.Request) {
-		queue = append(queue, r)
-	})
+	var queue load.Queue
+	inj := load.NewInjector(sys.K, 250*time.Microsecond, queue.Push)
 	step := time.Duration(horizon) / 200
 	web := inj.AddTenant("web",
 		load.Sampled(horizon, step, load.Diurnal(40_000, 0.4, time.Duration(horizon)/2)),
@@ -761,19 +758,10 @@ func runServe(sys *core.System, horizon sim.Time, out io.Writer) error {
 			sys.K.Spawn(fmt.Sprintf("server-%d", s), func(p *sim.Proc) {
 				keys := make([]uint64, 0, batchMax)
 				for {
-					if qhead == len(queue) {
-						if p.Now() >= horizon {
-							return
-						}
-						p.Sleep(poll)
-						continue
+					reqs, ok := queue.Next(p, batchMax, poll, horizon)
+					if !ok {
+						return
 					}
-					n := len(queue) - qhead
-					if n > batchMax {
-						n = batchMax
-					}
-					reqs := queue[qhead : qhead+n]
-					qhead += n
 					keys = keys[:0]
 					for _, r := range reqs {
 						keys = append(keys, r.Key)

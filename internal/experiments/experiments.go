@@ -52,7 +52,10 @@ type Result struct {
 	// across the experiment's simulation runs, and Trace the rendered
 	// control-plane event log — both exist so the determinism
 	// regression test can assert that one seed produces exactly one
-	// behaviour. Currently populated by the figure experiments.
+	// behaviour. The figure experiments and the ext-* experiments set
+	// them. For ext-scale and ext-serve EventsProcessed sums every run
+	// of the worker-count sweep (P in {1, 4, 8}), so it is 3 times their
+	// "events" value.
 	EventsProcessed uint64
 	Trace           []string
 }
@@ -96,6 +99,19 @@ func (r *Result) addf(format string, args ...any) {
 }
 
 func (r *Result) set(key string, v float64) { r.Values[key] = v }
+
+// setWall records the host wall time of each run of a worker-count
+// sweep as wall_ms_p<P>, and each later run's speedup over the first as
+// wall_speedup_p<P>. Host time varies run to run, so these keys stay
+// out of Lines and benchdiff never gates them.
+func (r *Result) setWall(workers []int, wallMS []float64) {
+	for i, p := range workers {
+		r.set(fmt.Sprintf("wall_ms_p%d", p), wallMS[i])
+		if i > 0 && wallMS[i] > 0 {
+			r.set(fmt.Sprintf("wall_speedup_p%d", p), wallMS[0]/wallMS[i])
+		}
+	}
+}
 
 // Print writes the result to w.
 func (r *Result) Print(w io.Writer) {

@@ -11,9 +11,9 @@ package experiments
 // (granular re-placement plus rebuild, as in ext-chaos — now inside a
 // partitioned run).
 //
-// The experiment is its own determinism harness: it executes the same
-// seed at worker counts P in {1, 4, 8} and errors out unless every
-// deterministic observable — per-shard event counts, per-shard op and
+// The experiment is its own determinism harness: fleet.Sweep executes
+// the same seed at worker counts P in {1, 4, 8} and errors out unless
+// every deterministic observable — per-shard event counts, per-shard op and
 // error counts, window and cross-message totals, and the merged
 // control-plane trace — is identical across P. The CI seed sweep runs
 // this experiment at several seeds, so the sweep is automatically a
@@ -28,16 +28,15 @@ package experiments
 
 import (
 	"fmt"
-	"reflect"
 	"sort"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/fleet"
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/trace"
 )
 
 // scaleCfg parameterizes the partitioned fleet.
@@ -79,9 +78,9 @@ func scaleConfig(scale Scale) scaleCfg {
 	return cfg
 }
 
-// scaleDet is every observable that must be identical at any worker
-// count. Compared with reflect.DeepEqual across the P sweep.
-type scaleDet struct {
+// scaleRun is one run's observables, all of them simulated:
+// fleet.Sweep requires them to be identical at every worker count.
+type scaleRun struct {
 	ShardEvents []uint64
 	Ops         []int64
 	Failed      []int64
@@ -95,71 +94,38 @@ type scaleDet struct {
 	Trace       []string
 }
 
-// scaleOutcome is one run's measurements: the deterministic core plus
-// host wall-clock.
-type scaleOutcome struct {
-	det    scaleDet
-	wallMS float64
-}
-
-// runScaleOnce builds the partitioned fleet and drives it with the
-// given number of host workers.
-func runScaleOnce(cfg scaleCfg, workers int) (scaleOutcome, error) {
-	var out scaleOutcome
-	start := time.Now()
-
-	lookahead := sim.Time(core.DefaultConfig().Net.Latency.Nanoseconds())
-	pk := sim.NewParKernel(seeded(29), cfg.shards, lookahead)
-	defer pk.Close()
-	pk.SetWorkers(workers)
-
+// run builds the partitioned fleet and drives it with the given number
+// of host workers.
+func (cfg scaleCfg) run(workers int) (scaleRun, error) {
 	machines := make([]cluster.MachineConfig, cfg.perShard)
 	for i := range machines {
 		machines[i] = cluster.MachineConfig{Cores: 4, MemBytes: 64 << 20}
 	}
+	fl := fleet.New(seeded(29), cfg.shards, machines, workers)
+	defer fl.K.Close()
 
 	type shardState struct {
-		sys    *core.System
 		stores []*core.MemoryProclet
 		golden []map[uint64]int
 		latest int64 // last acked value, served by the xget gateway
 		done   bool
 	}
 	shards := make([]*shardState, cfg.shards)
-	fabrics := make([]*simnet.Fabric, cfg.shards)
-	for s := 0; s < cfg.shards; s++ {
-		sysCfg := core.DefaultConfig()
-		sysCfg.Seed = seeded(29) + int64(s)
-		sys := core.NewSystemOnKernel(pk.Shard(s), sysCfg, machines)
-		shards[s] = &shardState{sys: sys}
-		fabrics[s] = sys.Cluster.Fabric
-	}
-	pt := simnet.NewPartition(pk, fabrics)
-
-	var buildErr error
-	for s := 0; s < cfg.shards; s++ {
-		s := s
-		st := shards[s]
-		st.sys.Start()
-		st.stores = make([]*core.MemoryProclet, cfg.stores)
-		st.golden = make([]map[uint64]int, cfg.stores)
-		for i := range st.stores {
-			mid := cluster.MachineID(1 + i%(cfg.perShard-1))
-			mp, err := core.NewMemoryProcletOn(st.sys, fmt.Sprintf("s%d-store-%d", s, i), mid)
-			if err != nil {
-				buildErr = err
-				break
-			}
-			st.stores[i] = mp
+	for s, sys := range fl.Sys {
+		sys.Start()
+		stores, err := fl.PlaceStores(s, cfg.stores)
+		if err != nil {
+			return scaleRun{}, err
+		}
+		st := &shardState{stores: stores, golden: make([]map[uint64]int, cfg.stores)}
+		for i := range st.golden {
 			st.golden[i] = make(map[uint64]int)
 		}
-		if buildErr != nil {
-			break
-		}
+		shards[s] = st
 		// Rebuild crash-lost store contents from the shard's host-side
 		// golden record (shard-local: written and read only in shard
 		// context).
-		st.sys.SetRebuilder(func(p *sim.Proc, mp *core.MemoryProclet) error {
+		sys.SetRebuilder(func(p *sim.Proc, mp *core.MemoryProclet) error {
 			for i, sp := range st.stores {
 				if sp.ID() != mp.ID() {
 					continue
@@ -181,37 +147,31 @@ func runScaleOnce(cfg scaleCfg, workers int) (scaleOutcome, error) {
 		})
 		// The cross-shard gateway: machine 0 serves the shard's last
 		// acked value to peers, on the inline fast path.
-		st.sys.Cluster.Node(0).HandleFast("xget", func(req simnet.Message) (simnet.Message, error) {
+		sys.Cluster.Node(0).HandleFast("xget", func(req simnet.Message) (simnet.Message, error) {
 			return simnet.Message{Payload: st.latest, Bytes: 128}, nil
 		})
-	}
-	if buildErr != nil {
-		return out, buildErr
 	}
 
 	// Shard 0 loses machine 1 mid-run and gets it back: orphaned stores
 	// re-place, the rebuilder restores their contents.
-	in := fault.New(pk.Shard(0), shards[0].sys.Cluster, shards[0].sys.Trace)
-	shards[0].sys.AttachInjector(in)
+	in := fault.New(fl.K.Shard(0), fl.Sys[0].Cluster, fl.Sys[0].Trace)
+	fl.Sys[0].AttachInjector(in)
 	in.Install(fault.Schedule{
 		{At: sim.Time(float64(cfg.horizon) * 0.35), Op: fault.OpCrash, A: 1},
 		{At: sim.Time(float64(cfg.horizon) * 0.65), Op: fault.OpRestart, A: 1},
 	})
 
-	det := scaleDet{
+	det := scaleRun{
 		ShardEvents: make([]uint64, cfg.shards),
 		Ops:         make([]int64, cfg.shards),
 		Failed:      make([]int64, cfg.shards),
 		CrossOps:    make([]int64, cfg.shards),
 		CrossFailed: make([]int64, cfg.shards),
 	}
-	for s := 0; s < cfg.shards; s++ {
-		s := s
-		st := shards[s]
-		k := pk.Shard(s)
+	for s, st := range shards {
+		k := fl.K.Shard(s)
 		var wg sim.WaitGroup
 		for c := 0; c < cfg.clients; c++ {
-			c := c
 			wg.Add(1)
 			k.Spawn(fmt.Sprintf("s%d-client-%d", s, c), func(p *sim.Proc) {
 				defer wg.Done()
@@ -227,7 +187,7 @@ func runScaleOnce(cfg scaleCfg, workers int) (scaleOutcome, error) {
 						det.Failed[s]++
 					}
 					if op%cfg.crossEvery == 0 {
-						_, err := pt.Call(p, simnet.ShardNode{Shard: s, Node: 0},
+						_, err := fl.Net.Call(p, simnet.ShardNode{Shard: s, Node: 0},
 							simnet.ShardNode{Shard: (s + 1) % cfg.shards, Node: 0},
 							"xget", simnet.Message{Bytes: 64})
 						if err == nil {
@@ -262,28 +222,20 @@ func runScaleOnce(cfg scaleCfg, workers int) (scaleOutcome, error) {
 		})
 	}
 
-	pk.RunUntil(cfg.horizon + cfg.slack)
+	fl.K.RunUntil(cfg.horizon + cfg.slack)
 
 	for s, st := range shards {
 		if !st.done {
-			return out, fmt.Errorf("ext-scale: shard %d did not drain by %v (workload wedged)", s, cfg.horizon+cfg.slack)
+			return det, fmt.Errorf("shard %d did not drain by %v (workload wedged)", s, cfg.horizon+cfg.slack)
 		}
-		det.ShardEvents[s] = pk.Shard(s).EventsProcessed()
+		det.ShardEvents[s] = fl.K.Shard(s).EventsProcessed()
 	}
 	det.Crashes = in.Crashes.Value()
-	det.Recoveries = shards[0].sys.Sched.Recoveries.Value()
-	det.Windows = pk.Windows()
-	det.CrossMsgs = uint64(pt.CrossCalls.Value())
-	logs := make([]*trace.Log, cfg.shards)
-	for s, st := range shards {
-		logs[s] = st.sys.Trace
-	}
-	for _, e := range trace.Merge(logs...).Events() {
-		det.Trace = append(det.Trace, e.String())
-	}
-	out.det = det
-	out.wallMS = float64(time.Since(start).Microseconds()) / 1000
-	return out, nil
+	det.Recoveries = fl.Sys[0].Sched.Recoveries.Value()
+	det.Windows = fl.K.Windows()
+	det.CrossMsgs = uint64(fl.Net.CrossCalls.Value())
+	det.Trace = fl.Trace()
+	return det, nil
 }
 
 func runExtScale(scale Scale) (*Result, error) {
@@ -294,41 +246,26 @@ func runExtScale(scale Scale) (*Result, error) {
 	res.addf("faults: shard 0 crashes machine 1 at %v, restarts it at %v",
 		sim.Time(float64(cfg.horizon)*0.35), sim.Time(float64(cfg.horizon)*0.65))
 
-	var ref scaleOutcome
-	wall := make(map[int]float64, len(cfg.workers))
-	for i, p := range cfg.workers {
-		o, err := runScaleOnce(cfg, p)
-		if err != nil {
-			return nil, err
-		}
-		wall[p] = o.wallMS
-		res.EventsProcessed += sumU64(o.det.ShardEvents)
-		if i == 0 {
-			ref = o
-			continue
-		}
-		if !reflect.DeepEqual(o.det, ref.det) {
-			return nil, fmt.Errorf(
-				"ext-scale: determinism violated — P=%d diverged from P=%d (events %v vs %v, ops %v vs %v, trace %d vs %d lines)",
-				p, cfg.workers[0], o.det.ShardEvents, ref.det.ShardEvents,
-				o.det.Ops, ref.det.Ops, len(o.det.Trace), len(ref.det.Trace))
-		}
+	ref, wallMS, err := fleet.Sweep(cfg.workers, cfg.run)
+	if err != nil {
+		return nil, fmt.Errorf("ext-scale: %w", err)
 	}
-	res.Trace = ref.det.Trace
+	res.EventsProcessed = uint64(len(cfg.workers)) * sumU64(ref.ShardEvents)
+	res.Trace = ref.Trace
 
 	var ops, failed, crossOps, crossFailed int64
 	for s := 0; s < cfg.shards; s++ {
-		ops += ref.det.Ops[s]
-		failed += ref.det.Failed[s]
-		crossOps += ref.det.CrossOps[s]
-		crossFailed += ref.det.CrossFailed[s]
+		ops += ref.Ops[s]
+		failed += ref.Failed[s]
+		crossOps += ref.CrossOps[s]
+		crossFailed += ref.CrossFailed[s]
 	}
 	res.addf("ops acked %d (failed %d), cross-shard reads %d (failed %d), objects lost %d",
-		ops, failed, crossOps, crossFailed, ref.det.Lost)
+		ops, failed, crossOps, crossFailed, ref.Lost)
 	res.addf("crashes %d, orphans re-placed %d; %d sync windows, %d cross-shard RPCs",
-		ref.det.Crashes, ref.det.Recoveries, ref.det.Windows, ref.det.CrossMsgs)
+		ref.Crashes, ref.Recoveries, ref.Windows, ref.CrossMsgs)
 	res.addf("determinism: per-shard events %v identical at P=%v (asserted in-run)",
-		ref.det.ShardEvents, cfg.workers)
+		ref.ShardEvents, cfg.workers)
 	res.addf("wall-clock per worker count is host time: see the wall_* keys in the")
 	res.addf("JSON output (excluded from byte-compared output and the benchdiff gate).")
 
@@ -338,19 +275,13 @@ func runExtScale(scale Scale) (*Result, error) {
 	res.set("failed", float64(failed))
 	res.set("cross_ops", float64(crossOps))
 	res.set("cross_failed", float64(crossFailed))
-	res.set("lost", float64(ref.det.Lost))
-	res.set("crashes", float64(ref.det.Crashes))
-	res.set("recoveries", float64(ref.det.Recoveries))
-	res.set("windows", float64(ref.det.Windows))
-	res.set("cross_msgs", float64(ref.det.CrossMsgs))
-	res.set("events", float64(sumU64(ref.det.ShardEvents)))
-	base := wall[cfg.workers[0]]
-	for _, p := range cfg.workers {
-		res.set(fmt.Sprintf("wall_ms_p%d", p), wall[p])
-		if p != cfg.workers[0] && wall[p] > 0 {
-			res.set(fmt.Sprintf("wall_speedup_p%d", p), base/wall[p])
-		}
-	}
+	res.set("lost", float64(ref.Lost))
+	res.set("crashes", float64(ref.Crashes))
+	res.set("recoveries", float64(ref.Recoveries))
+	res.set("windows", float64(ref.Windows))
+	res.set("cross_msgs", float64(ref.CrossMsgs))
+	res.set("events", float64(sumU64(ref.ShardEvents)))
+	res.setWall(cfg.workers, wallMS)
 	return res, nil
 }
 

@@ -23,10 +23,11 @@ package experiments
 // shard migrates two of its stores to different machines while serving,
 // so the migrate-phase p999 shows the blackout cost). A jittered
 // workload.Antagonist per shard exercises the injected-RNG interference
-// path. Like ext-scale, the run is its own determinism harness: the
-// same seed executes at P in {1, 4, 8} host workers and every
-// deterministic observable — per-shard events, request counts,
-// histogram snapshots, merged trace — must be identical.
+// path. Like ext-scale, the run is its own determinism harness:
+// fleet.Sweep executes the same seed at P in {1, 4, 8} host workers and
+// every deterministic observable — per-shard events, request counts,
+// merged histograms, merged trace, and the trace exports when traced —
+// must be identical.
 
 import (
 	"bytes"
@@ -35,18 +36,17 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/load"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/obs/slo"
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -194,11 +194,11 @@ func (cfg serveCfg) phaseOf(at sim.Time) int {
 	}
 }
 
-// serveDet is every observable that must be identical at any worker
-// count, compared with reflect.DeepEqual across the P sweep. Histogram
-// state rides along as snapshots: if a single latency bucket shifts
-// between worker counts, the run fails.
-type serveDet struct {
+// serveRun is one run's observables, all of them simulated:
+// fleet.Sweep requires them to be identical at every worker count. The
+// merged histograms ride along whole, so a single latency bucket that
+// shifts between worker counts fails the run.
+type serveRun struct {
 	ShardEvents []uint64
 	Generated   []uint64
 	Served      []uint64
@@ -212,42 +212,28 @@ type serveDet struct {
 	Spans       []int   // per-shard span count (0 when untraced)
 	Windows     uint64
 	CrossMsgs   uint64
-	Phases      []metrics.LogSnapshot // merged across shards, per phase
-	Overall     metrics.LogSnapshot
+	Phases      []*metrics.LogHistogram // merged across shards, per phase
+	Overall     *metrics.LogHistogram
 	Trace       []string
-}
-
-type serveOutcome struct {
-	det     serveDet
-	phases  []*metrics.LogHistogram
-	overall *metrics.LogHistogram
-	wallMS  float64
 
 	// Trace exports, only when a trace directory is configured: the
 	// full merged Chrome trace, the tail-sampled subset, and the
-	// sampler's retention accounting. Byte-compared across the P sweep.
-	fullTrace    []byte
-	sampledTrace []byte
-	sampleStats  slo.SampleStats
-	incidents    []slo.Incident
+	// sampler's retention accounting.
+	FullTrace    []byte
+	SampledTrace []byte
+	SampleStats  slo.SampleStats
 }
 
-// runServeOnce builds the partitioned serving fleet and drives it with
-// the given number of host workers.
-func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
-	var out serveOutcome
-	start := time.Now()
-
-	lookahead := sim.Time(core.DefaultConfig().Net.Latency.Nanoseconds())
-	pk := sim.NewParKernel(seeded(37), cfg.shards, lookahead)
-	defer pk.Close()
-	pk.SetWorkers(workers)
-	injWindow := time.Duration(lookahead) * time.Duration(cfg.injWindows)
-
+// run builds the partitioned serving fleet and drives it with the given
+// number of host workers.
+func (cfg serveCfg) run(workers int) (serveRun, error) {
 	machines := make([]cluster.MachineConfig, cfg.perShard)
 	for i := range machines {
 		machines[i] = cluster.MachineConfig{Cores: 4, MemBytes: 64 << 20}
 	}
+	fl := fleet.New(seeded(37), cfg.shards, machines, workers)
+	defer fl.K.Close()
+	injWindow := time.Duration(fl.K.Lookahead()) * time.Duration(cfg.injWindows)
 
 	// Shared immutable per-tenant samplers: one zeta precompute serves
 	// all shards; each shard draws from its own RNG streams.
@@ -257,12 +243,10 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 	}
 
 	type shardState struct {
-		sys     *core.System
 		stores  []*core.MemoryProclet
 		inj     *load.Injector
 		mon     *slo.Monitor
-		queue   []load.Request
-		qhead   int
+		queue   load.Queue
 		served  uint64
 		timeout uint64
 		errs    uint64
@@ -273,18 +257,14 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 		done    bool
 	}
 	shards := make([]*shardState, cfg.shards)
-	fabrics := make([]*simnet.Fabric, cfg.shards)
-	for s := 0; s < cfg.shards; s++ {
-		sysCfg := core.DefaultConfig()
-		sysCfg.Seed = seeded(37) + int64(s)
-		sys := core.NewSystemOnKernel(pk.Shard(s), sysCfg, machines)
+	for s, sys := range fl.Sys {
 		if traceDir != "" {
 			// Per-shard tracer with a disjoint ID base: shard s owns IDs
 			// s<<32 .. (s+1)<<32, so obs.Concat merges shard timelines
 			// into one globally ordered export.
 			sys.EnableTracingAt(obs.SpanID(s) << 32)
 		}
-		st := &shardState{sys: sys, overall: metrics.NewLogHistogram(fmt.Sprintf("s%d.lat", s))}
+		st := &shardState{overall: metrics.NewLogHistogram(fmt.Sprintf("s%d.lat", s))}
 		st.mon = serveSLO(cfg, s)
 		st.mon.Log = sys.Trace
 		st.mon.Tracer = sys.Obs
@@ -292,28 +272,16 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 			st.phases = append(st.phases, metrics.NewLogHistogram(fmt.Sprintf("s%d.lat.%s", s, ph)))
 		}
 		shards[s] = st
-		fabrics[s] = sys.Cluster.Fabric
-	}
-	pt := simnet.NewPartition(pk, fabrics)
-
-	for s := 0; s < cfg.shards; s++ {
-		s := s
-		st := shards[s]
-		k := pk.Shard(s)
-		st.sys.Start()
+		k := fl.K.Shard(s)
+		sys.Start()
 
 		// Stores round-robin over machines 1..perShard-1; machine 0 is the
 		// shard's front-end (servers + cross-shard gateway).
-		st.stores = make([]*core.MemoryProclet, cfg.stores)
-		for i := range st.stores {
-			mid := cluster.MachineID(1 + i%(cfg.perShard-1))
-			mp, err := core.NewMemoryProcletOn(st.sys, fmt.Sprintf("s%d-store-%d", s, i), mid)
-			if err != nil {
-				return out, err
-			}
-			st.stores[i] = mp
+		var err error
+		if st.stores, err = fl.PlaceStores(s, cfg.stores); err != nil {
+			return serveRun{}, err
 		}
-		st.sys.Cluster.Node(0).HandleFast("xget", func(req simnet.Message) (simnet.Message, error) {
+		sys.Cluster.Node(0).HandleFast("xget", func(req simnet.Message) (simnet.Message, error) {
 			return simnet.Message{Payload: int64(st.served), Bytes: 64}, nil
 		})
 
@@ -321,9 +289,7 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 		// divided by the shard count, diurnal-modulated, with tenant C
 		// riding the flash-crowd multiplier. Arrivals land in the shard's
 		// serving queue; servers drain it.
-		st.inj = load.NewInjector(k, injWindow, func(r load.Request) {
-			st.queue = append(st.queue, r)
-		})
+		st.inj = load.NewInjector(k, injWindow, st.queue.Push)
 		period := time.Duration(cfg.horizon)
 		spikeF := load.Spike(
 			sim.Time(float64(cfg.horizon)*cfg.flashAt),
@@ -341,7 +307,7 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 		// interference pattern comes from an injected per-shard RNG, so it
 		// replays identically at any worker count.
 		ant := &workload.Antagonist{
-			Machine: st.sys.Cluster.Machine(1),
+			Machine: sys.Cluster.Machine(1),
 			Period:  2 * time.Millisecond, Busy: 500 * time.Microsecond,
 			Cores: 2, Jitter: 200 * time.Microsecond,
 			Rng: rand.New(rand.NewSource(seeded(41) + int64(s))),
@@ -372,28 +338,18 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 		// requests, groups them by store, and issues one mem.getbatch per
 		// touched store instead of one RPC per request.
 		var wg sim.WaitGroup
-		tr := st.sys.Obs // nil when untraced; every Tracer method is nil-safe
+		tr := sys.Obs // nil when untraced; every Tracer method is nil-safe
 		for srv := 0; srv < cfg.servers; srv++ {
 			wg.Add(1)
 			k.Spawn(fmt.Sprintf("s%d-server-%d", s, srv), func(p *sim.Proc) {
 				defer wg.Done()
 				byStore := make([][]uint64, cfg.stores)
-				batch := make([]load.Request, 0, cfg.batchMax)
 				batches := 0
 				for {
-					if st.qhead == len(st.queue) {
-						if p.Now() >= cfg.horizon {
-							return // all arrivals delivered and drained
-						}
-						p.Sleep(cfg.poll)
-						continue
+					batch, ok := st.queue.Next(p, cfg.batchMax, cfg.poll, cfg.horizon)
+					if !ok {
+						return // all arrivals delivered and drained
 					}
-					n := len(st.queue) - st.qhead
-					if n > cfg.batchMax {
-						n = cfg.batchMax
-					}
-					batch = append(batch[:0], st.queue[st.qhead:st.qhead+n]...)
-					st.qhead += n
 					// One causal tree per fan-in batch: the root opens at
 					// pickup, store fan-in RPCs hang off it via SetNext, and
 					// each request lands as a retroactive child spanning
@@ -449,7 +405,7 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 						// Keep the fleet coupled: a cross-shard gateway read
 						// rides the partition mailboxes.
 						tr.SetNext(root)
-						_, err := pt.Call(p, simnet.ShardNode{Shard: s, Node: 0},
+						_, err := fl.Net.Call(p, simnet.ShardNode{Shard: s, Node: 0},
 							simnet.ShardNode{Shard: (s + 1) % cfg.shards, Node: 0},
 							"xget", simnet.Message{Bytes: 64})
 						if err != nil {
@@ -471,7 +427,7 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 				if to == from {
 					to = cluster.MachineID(1 + int(from)%(cfg.perShard-1))
 				}
-				if err := st.sys.Runtime.Migrate(p, st.stores[i].ID(), to); err == nil {
+				if err := sys.Runtime.Migrate(p, st.stores[i].ID(), to); err == nil {
 					st.migOK++
 				}
 			}
@@ -483,9 +439,9 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 		})
 	}
 
-	pk.RunUntil(cfg.horizon + cfg.slack)
+	fl.K.RunUntil(cfg.horizon + cfg.slack)
 
-	det := serveDet{
+	det := serveRun{
 		ShardEvents: make([]uint64, cfg.shards),
 		Generated:   make([]uint64, cfg.shards),
 		Served:      make([]uint64, cfg.shards),
@@ -498,13 +454,14 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 		SLOWindows:  make([]int, cfg.shards),
 		Spans:       make([]int, cfg.shards),
 	}
+	var incidents []slo.Incident
 	for s, st := range shards {
 		if !st.done {
-			return out, fmt.Errorf("ext-serve: shard %d did not drain by %v (%d/%d served)",
+			return det, fmt.Errorf("shard %d did not drain by %v (%d/%d served)",
 				s, cfg.horizon+cfg.slack, st.served, st.inj.TotalGenerated())
 		}
 		st.mon.Finish(cfg.horizon)
-		det.ShardEvents[s] = pk.Shard(s).EventsProcessed()
+		det.ShardEvents[s] = fl.K.Shard(s).EventsProcessed()
 		det.Generated[s] = st.inj.TotalGenerated()
 		det.Served[s] = st.served
 		det.Timeouts[s] = st.timeout
@@ -514,61 +471,48 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 		det.Opened[s] = st.mon.Opened()
 		det.Resolved[s] = st.mon.Resolved()
 		det.SLOWindows[s] = st.mon.WindowsClosed()
-		det.Spans[s] = st.sys.Obs.Len()
-		out.incidents = append(out.incidents, st.mon.Incidents()...)
+		det.Spans[s] = fl.Sys[s].Obs.Len()
+		incidents = append(incidents, st.mon.Incidents()...)
 	}
-	det.Windows = pk.Windows()
-	det.CrossMsgs = uint64(pt.CrossCalls.Value())
+	det.Windows = fl.K.Windows()
+	det.CrossMsgs = uint64(fl.Net.CrossCalls.Value())
 
 	// Merge shard-local histograms in fixed shard order (the
 	// obs.MergeSeries pattern): integer bucket addition, byte-identical
 	// at any worker count.
-	out.overall = metrics.NewLogHistogram("latency")
-	out.phases = make([]*metrics.LogHistogram, len(servePhases))
+	det.Overall = metrics.NewLogHistogram("latency")
+	det.Phases = make([]*metrics.LogHistogram, len(servePhases))
 	for ph := range servePhases {
-		out.phases[ph] = metrics.NewLogHistogram("latency." + servePhases[ph])
+		det.Phases[ph] = metrics.NewLogHistogram("latency." + servePhases[ph])
 	}
 	for _, st := range shards {
-		out.overall.Merge(st.overall)
+		det.Overall.Merge(st.overall)
 		for ph := range servePhases {
-			out.phases[ph].Merge(st.phases[ph])
+			det.Phases[ph].Merge(st.phases[ph])
 		}
 	}
-	det.Overall = out.overall.Snapshot()
-	for ph := range servePhases {
-		det.Phases = append(det.Phases, out.phases[ph].Snapshot())
-	}
-	logs := make([]*trace.Log, cfg.shards)
-	for s, st := range shards {
-		logs[s] = st.sys.Trace
-	}
-	for _, e := range trace.Merge(logs...).Events() {
-		det.Trace = append(det.Trace, e.String())
-	}
+	det.Trace = fl.Trace()
 
 	// Traced runs: concatenate the per-shard tracers (disjoint ID
 	// ranges, so the merge is a deterministic sort), run tail-based
 	// sampling against the run's incidents, and render both exports.
-	// The bytes ride back to the caller for the P-sweep identity check.
 	if traceDir != "" {
 		tracers := make([]*obs.Tracer, cfg.shards)
-		for s, st := range shards {
-			tracers[s] = st.sys.Obs
+		for s, sys := range fl.Sys {
+			tracers[s] = sys.Obs
 		}
 		merged := obs.Concat(tracers...)
-		sampled, stats := slo.Filter(merged, out.incidents, serveSampleConfig(cfg))
+		sampled, stats := slo.Filter(merged, incidents, serveSampleConfig(cfg))
 		var fb, sb bytes.Buffer
 		if err := obs.WriteChromeTrace(&fb, merged, nil); err != nil {
-			return out, err
+			return det, err
 		}
 		if err := obs.WriteChromeTrace(&sb, sampled, nil); err != nil {
-			return out, err
+			return det, err
 		}
-		out.fullTrace, out.sampledTrace, out.sampleStats = fb.Bytes(), sb.Bytes(), stats
+		det.FullTrace, det.SampledTrace, det.SampleStats = fb.Bytes(), sb.Bytes(), stats
 	}
-	out.det = det
-	out.wallMS = float64(time.Since(start).Microseconds()) / 1000
-	return out, nil
+	return det, nil
 }
 
 func runExtServe(scale Scale) (*Result, error) {
@@ -585,45 +529,24 @@ func runExtServe(scale Scale) (*Result, error) {
 			t.name, t.clients, t.perRPS, t.theta, t.keys, extra)
 	}
 
-	var ref serveOutcome
-	wall := make(map[int]float64, len(cfg.workers))
-	for i, p := range cfg.workers {
-		o, err := runServeOnce(cfg, p)
-		if err != nil {
-			return nil, err
-		}
-		wall[p] = o.wallMS
-		res.EventsProcessed += sumU64(o.det.ShardEvents)
-		if i == 0 {
-			ref = o
-			continue
-		}
-		if !reflect.DeepEqual(o.det, ref.det) {
-			return nil, fmt.Errorf(
-				"ext-serve: determinism violated — P=%d diverged from P=%d (events %v vs %v, served %v vs %v)",
-				p, cfg.workers[0], o.det.ShardEvents, ref.det.ShardEvents,
-				o.det.Served, ref.det.Served)
-		}
-		if !bytes.Equal(o.fullTrace, ref.fullTrace) || !bytes.Equal(o.sampledTrace, ref.sampledTrace) {
-			return nil, fmt.Errorf(
-				"ext-serve: trace export not byte-identical at P=%d vs P=%d (full %d vs %d bytes, sampled %d vs %d bytes)",
-				p, cfg.workers[0], len(o.fullTrace), len(ref.fullTrace),
-				len(o.sampledTrace), len(ref.sampledTrace))
-		}
+	ref, wallMS, err := fleet.Sweep(cfg.workers, cfg.run)
+	if err != nil {
+		return nil, fmt.Errorf("ext-serve: %w", err)
 	}
-	res.Trace = ref.det.Trace
+	res.EventsProcessed = uint64(len(cfg.workers)) * sumU64(ref.ShardEvents)
+	res.Trace = ref.Trace
 
 	var generated, served, timeouts, errs uint64
 	var migrations int64
-	startNS := ref.det.StartNS[0]
+	startNS := ref.StartNS[0]
 	for s := 0; s < cfg.shards; s++ {
-		generated += ref.det.Generated[s]
-		served += ref.det.Served[s]
-		timeouts += ref.det.Timeouts[s]
-		errs += ref.det.Errors[s]
-		migrations += ref.det.Migrations[s]
-		if ref.det.StartNS[s] > startNS {
-			startNS = ref.det.StartNS[s]
+		generated += ref.Generated[s]
+		served += ref.Served[s]
+		timeouts += ref.Timeouts[s]
+		errs += ref.Errors[s]
+		migrations += ref.Migrations[s]
+		if ref.StartNS[s] > startNS {
+			startNS = ref.StartNS[s]
 		}
 	}
 	durS := float64(int64(cfg.horizon)-startNS) / 1e9
@@ -636,21 +559,21 @@ func runExtServe(scale Scale) (*Result, error) {
 	res.addf("requests: %d generated, %d served, %d past the %v deadline (%.4f%%), %d errors",
 		generated, served, timeouts, cfg.deadline, 100*timeoutRate, errs)
 	res.addf("goodput %.0f req/s over the %.2f ms serving window", goodput, durS*1e3)
-	res.addf("%s", ref.overall.String())
+	res.addf("%s", ref.Overall.String())
 	for ph, name := range servePhases {
-		h := ref.phases[ph]
+		h := ref.Phases[ph]
 		res.addf("phase %-7s n=%-6d p50=%.3fms p99=%.3fms p999=%.3fms max=%.3fms",
 			name, h.Count(), h.QuantileMS(0.50), h.QuantileMS(0.99),
 			h.QuantileMS(0.999), float64(h.Max())/1e6)
 	}
 	res.addf("migration under load: %d stores moved; %d sync windows, %d cross-shard RPCs",
-		migrations, ref.det.Windows, ref.det.CrossMsgs)
+		migrations, ref.Windows, ref.CrossMsgs)
 
 	opened, resolved, sloWindows := 0, 0, 0
 	for s := 0; s < cfg.shards; s++ {
-		opened += ref.det.Opened[s]
-		resolved += ref.det.Resolved[s]
-		sloWindows += ref.det.SLOWindows[s]
+		opened += ref.Opened[s]
+		resolved += ref.Resolved[s]
+		sloWindows += ref.SLOWindows[s]
 	}
 	res.addf("slo plane: %d windows closed across shards; %d incidents opened, %d resolved",
 		sloWindows, opened, resolved)
@@ -659,7 +582,7 @@ func runExtServe(scale Scale) (*Result, error) {
 	res.set("incidents_resolved", float64(resolved))
 
 	if TraceDir() != "" {
-		st := ref.sampleStats
+		st := ref.SampleStats
 		if st.KeptSpans*10 > st.FullSpans {
 			return nil, fmt.Errorf(
 				"ext-serve: tail sampling kept %d of %d spans — misses the 10x reduction bound",
@@ -673,14 +596,14 @@ func runExtServe(scale Scale) (*Result, error) {
 		res.set("trace_spans_sampled", float64(st.KeptSpans))
 		res.set("trace_trees_kept", float64(st.Kept))
 		full := filepath.Join(TraceDir(), "ext-serve.full.trace.json")
-		if err := os.WriteFile(full, ref.fullTrace, 0o644); err != nil {
+		if err := os.WriteFile(full, ref.FullTrace, 0o644); err != nil {
 			return nil, err
 		}
-		if err := os.WriteFile(filepath.Join(TraceDir(), "ext-serve.trace.json"), ref.sampledTrace, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(TraceDir(), "ext-serve.trace.json"), ref.SampledTrace, 0o644); err != nil {
 			return nil, err
 		}
 	}
-	res.addf("determinism: per-shard events %v identical at P=%v (asserted in-run,", ref.det.ShardEvents, cfg.workers)
+	res.addf("determinism: per-shard events %v identical at P=%v (asserted in-run,", ref.ShardEvents, cfg.workers)
 	res.addf("histogram snapshots included); wall_* keys are host time, excluded from gates.")
 
 	res.set("machines", float64(cfg.shards*cfg.perShard))
@@ -693,22 +616,16 @@ func runExtServe(scale Scale) (*Result, error) {
 	res.set("timeout_rate", timeoutRate)
 	res.set("errors", float64(errs))
 	res.set("goodput_rps", goodput)
-	res.set("p50_ms", ref.overall.QuantileMS(0.50))
-	res.set("p99_ms", ref.overall.QuantileMS(0.99))
-	res.set("p999_ms", ref.overall.QuantileMS(0.999))
+	res.set("p50_ms", ref.Overall.QuantileMS(0.50))
+	res.set("p99_ms", ref.Overall.QuantileMS(0.99))
+	res.set("p999_ms", ref.Overall.QuantileMS(0.999))
 	for ph, name := range servePhases {
-		res.set("p999_ms_"+name, ref.phases[ph].QuantileMS(0.999))
+		res.set("p999_ms_"+name, ref.Phases[ph].QuantileMS(0.999))
 	}
 	res.set("migrations", float64(migrations))
-	res.set("windows", float64(ref.det.Windows))
-	res.set("cross_msgs", float64(ref.det.CrossMsgs))
-	res.set("events", float64(sumU64(ref.det.ShardEvents)))
-	base := wall[cfg.workers[0]]
-	for _, p := range cfg.workers {
-		res.set(fmt.Sprintf("wall_ms_p%d", p), wall[p])
-		if p != cfg.workers[0] && wall[p] > 0 {
-			res.set(fmt.Sprintf("wall_speedup_p%d", p), base/wall[p])
-		}
-	}
+	res.set("windows", float64(ref.Windows))
+	res.set("cross_msgs", float64(ref.CrossMsgs))
+	res.set("events", float64(sumU64(ref.ShardEvents)))
+	res.setWall(cfg.workers, wallMS)
 	return res, nil
 }

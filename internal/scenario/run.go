@@ -1,9 +1,10 @@
 package scenario
 
-// The scenario engine: compile a validated Spec onto the partitioned
-// simulation kernel and drive it to completion. Each fleet shard gets
-// its own core.System, store proclets, open-loop load.Injector, fault
-// injector, and server pool — the same shapes as the hand-coded
+// The scenario engine: compile a validated Spec onto a fleet.Fleet
+// (the partitioned simulation kernel, one core.System per shard) and
+// drive it to completion. Each fleet shard gets its own store
+// proclets, open-loop load.Injector and load.Queue, fault injector,
+// and server pool — the same shapes as the hand-coded
 // internal/experiments drivers, but assembled from data.
 //
 // Determinism contract: a run at a fixed seed produces byte-identical
@@ -23,6 +24,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/fleet"
 	"repro/internal/gpu"
 	"repro/internal/load"
 	"repro/internal/metrics"
@@ -30,7 +32,6 @@ import (
 	"repro/internal/proclet"
 	"repro/internal/replication"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Options are the per-invocation knobs that do not change the
@@ -110,8 +111,7 @@ type shardState struct {
 	fleet    *gpu.Fleet
 	trainers []*gpu.Proclet
 
-	queue []load.Request
-	qhead int
+	queue load.Queue
 
 	served   uint64
 	timeouts uint64
@@ -136,10 +136,6 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 	if seed == 0 {
 		seed = sp.Seed
 	}
-	par := opt.Par
-	if par <= 0 {
-		par = 1
-	}
 	f, w := sp.Fleet, sp.Workload
 	horizon := mst(sp.HorizonMS)
 	drain := mst(sp.DrainMS)
@@ -147,16 +143,13 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 	bucketNS := int64(sp.BucketMS * 1e6)
 	nBuckets := int((int64(horizon)+int64(drain))/bucketNS) + 2
 
-	lookahead := sim.Time(core.DefaultConfig().Net.Latency.Nanoseconds())
-	pk := sim.NewParKernel(seed, f.Shards, lookahead)
-	defer pk.Close()
-	pk.SetWorkers(par)
-	injWindow := time.Duration(lookahead) * injWindows
-
 	machines := make([]cluster.MachineConfig, f.Machines)
 	for i := range machines {
 		machines[i] = cluster.MachineConfig{Cores: float64(f.Cores), MemBytes: f.MemMB << 20}
 	}
+	fl := fleet.New(seed, f.Shards, machines, opt.Par) // SetWorkers clamps Par to [1, shards]
+	defer fl.K.Close()
+	injWindow := time.Duration(fl.K.Lookahead()) * injWindows
 
 	// One zeta precompute per tenant serves every shard.
 	zipfs := make([]*load.Zipf, len(w.Tenants))
@@ -230,21 +223,14 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 	}
 
 	shards := make([]*shardState, f.Shards)
-	for s := 0; s < f.Shards; s++ {
-		sysCfg := core.DefaultConfig()
-		sysCfg.Seed = seed + int64(s)
-		sys := core.NewSystemOnKernel(pk.Shard(s), sysCfg, machines)
-		shards[s] = &shardState{
+	for s, sys := range fl.Sys {
+		st := &shardState{
 			sys:  sys,
 			hist: metrics.NewLogHistogram(fmt.Sprintf("s%d.lat", s)),
 			good: make([]int64, nBuckets),
 		}
-	}
-
-	for s := 0; s < f.Shards; s++ {
-		s := s
-		st := shards[s]
-		k := pk.Shard(s)
+		shards[s] = st
+		k := fl.K.Shard(s)
 		st.sys.Start()
 
 		// The fault plane is installed on every shard — even those with no
@@ -312,10 +298,9 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 		st.stores = make([]*core.MemoryProclet, w.Stores)
 		st.golden = make([]map[uint64]struct{}, w.Stores)
 		for i := range st.stores {
-			mid := cluster.MachineID(1 + i%(f.Machines-1))
-			mp, err := core.NewMemoryProcletOn(st.sys, fmt.Sprintf("s%d-store-%d", s, i), mid)
+			mp, err := fl.PlaceStore(s, i)
 			if err != nil {
-				return nil, fmt.Errorf("scenario %q: shard %d store %d: %w", sp.Name, s, i, err)
+				return nil, fmt.Errorf("scenario %q: %w", sp.Name, err)
 			}
 			st.stores[i] = mp
 			st.golden[i] = make(map[uint64]struct{}, w.Objects)
@@ -394,9 +379,7 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 		// The shard's open-loop arrival stream: each tenant's fleet rate is
 		// split evenly across shards, spike events multiply onto the base
 		// curve, and the whole thing is pre-sampled into a piecewise curve.
-		st.inj = load.NewInjector(k, injWindow, func(r load.Request) {
-			st.queue = append(st.queue, r)
-		})
+		st.inj = load.NewInjector(k, injWindow, st.queue.Push)
 		for ti, t := range w.Tenants {
 			per := t.Rate / float64(f.Shards)
 			var base func(sim.Time) float64
@@ -453,21 +436,11 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 				defer wg.Done()
 				readIDs := make([][]uint64, w.Stores)
 				writeIDs := make([][]uint64, w.Stores)
-				batch := make([]load.Request, 0, w.BatchMax)
 				for {
-					if st.qhead == len(st.queue) {
-						if p.Now() >= horizon {
-							return
-						}
-						p.Sleep(serverPoll)
-						continue
+					batch, ok := st.queue.Next(p, w.BatchMax, serverPoll, horizon)
+					if !ok {
+						return
 					}
-					n := len(st.queue) - st.qhead
-					if n > w.BatchMax {
-						n = w.BatchMax
-					}
-					batch = append(batch[:0], st.queue[st.qhead:st.qhead+n]...)
-					st.qhead += n
 					for i := range readIDs {
 						readIDs[i] = readIDs[i][:0]
 						writeIDs[i] = writeIDs[i][:0]
@@ -573,7 +546,7 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 		})
 	}
 
-	pk.RunUntil(horizon + drain)
+	fl.K.RunUntil(horizon + drain)
 
 	for s, st := range shards {
 		if !st.done {
@@ -582,11 +555,11 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 		}
 	}
 
-	return collect(sp, seed, pk, shards, bucketNS)
+	return collect(sp, seed, fl, shards, bucketNS)
 }
 
 // collect folds per-shard state into the Outcome, in fixed shard order.
-func collect(sp *Spec, seed int64, pk *sim.ParKernel, shards []*shardState, bucketNS int64) (*Outcome, error) {
+func collect(sp *Spec, seed int64, fl *fleet.Fleet, shards []*shardState, bucketNS int64) (*Outcome, error) {
 	var generated, served, timeouts, errs, acked uint64
 	var lost, migOK, crashes, restarts, partitions, degrades, heals, promotions, recoveries int64
 	var gpuXids, gpuThrottles, gpuHeals, gpuRestores, gpuEvacs, gpuMitigations, gpuStranded int64
@@ -652,7 +625,7 @@ func collect(sp *Spec, seed int64, pk *sim.ParKernel, shards []*shardState, buck
 		if st.startNS > startNS {
 			startNS = st.startNS
 		}
-		events += pk.Shard(s).EventsProcessed()
+		events += fl.K.Shard(s).EventsProcessed()
 		hist.Merge(st.hist)
 		for i, v := range st.good {
 			good[i] += v
@@ -694,7 +667,7 @@ func collect(sp *Spec, seed int64, pk *sim.ParKernel, shards []*shardState, buck
 		"migrations":   float64(migOK),
 		"recovery_ms":  recoveryMS(sp, good, bucketNS, startNS, horizon),
 		"events":       float64(events),
-		"windows":      float64(pk.Windows()),
+		"windows":      float64(fl.K.Windows()),
 
 		"gpu_xids":        float64(gpuXids),
 		"gpu_throttles":   float64(gpuThrottles),
@@ -730,13 +703,7 @@ func collect(sp *Spec, seed int64, pk *sim.ParKernel, shards []*shardState, buck
 			out.Pass = false
 		}
 	}
-	logs := make([]*trace.Log, len(shards))
-	for s, st := range shards {
-		logs[s] = st.sys.Trace
-	}
-	for _, e := range trace.Merge(logs...).Events() {
-		out.Trace = append(out.Trace, e.String())
-	}
+	out.Trace = fl.Trace()
 	return out, nil
 }
 

@@ -3,8 +3,11 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/fleet"
 )
 
 const smoke = `name: smoke
@@ -46,19 +49,24 @@ func mustRun(t *testing.T, src string, opt Options) *Outcome {
 // the DSL's central contract is that a (scenario, seed) pair names one
 // exact execution regardless of parallelism.
 func TestRunSmokeDeterministic(t *testing.T) {
-	var reports [3]bytes.Buffer
-	for i, par := range []int{1, 1, 4} {
-		out := mustRun(t, smoke, Options{Par: par})
+	sweepReports(t, smoke, []int{1, 1, 4})
+}
+
+// sweepReports runs src once per worker count and fails unless every
+// assertion holds and every report is byte-identical.
+func sweepReports(t *testing.T, src string, workers []int) {
+	t.Helper()
+	_, _, err := fleet.Sweep(workers, func(par int) (string, error) {
+		out := mustRun(t, src, Options{Par: par})
 		if !out.Pass {
-			t.Fatalf("run %d: assertions failed:\n%+v", i, out.Asserts)
+			return "", fmt.Errorf("par=%d: assertions failed:\n%+v", par, out.Asserts)
 		}
-		out.WriteReport(&reports[i])
-	}
-	if !bytes.Equal(reports[0].Bytes(), reports[1].Bytes()) {
-		t.Error("same seed, same workers: reports differ")
-	}
-	if !bytes.Equal(reports[0].Bytes(), reports[2].Bytes()) {
-		t.Error("par=1 and par=4 reports differ; worker count leaked into the simulation")
+		var rep strings.Builder
+		out.WriteReport(&rep)
+		return rep.String(), nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -309,12 +317,5 @@ func TestGPUUncheckpointedXidLosesWork(t *testing.T) {
 // TestGPUTrainDeterministic: the GPU rider must preserve the DSL's
 // byte-identical-reports contract across worker counts.
 func TestGPUTrainDeterministic(t *testing.T) {
-	var reports [2]bytes.Buffer
-	for i, par := range []int{1, 4} {
-		out := mustRun(t, gpuTrain, Options{Par: par})
-		out.WriteReport(&reports[i])
-	}
-	if !bytes.Equal(reports[0].Bytes(), reports[1].Bytes()) {
-		t.Error("par=1 and par=4 GPU-trainer reports differ; worker count leaked into the simulation")
-	}
+	sweepReports(t, gpuTrain, []int{1, 4})
 }

@@ -2,16 +2,19 @@ package quicksand
 
 // Library gate for scenarios/: every committed scenario file must (a)
 // parse, (b) pass its own assertions at its committed seed, and (c)
-// print a byte-identical report at 1, 4, and 8 host workers. This is
-// the in-repo mirror of the CI scenario-matrix job, so a scenario that
-// regresses fails `go test ./...` before it ever reaches CI.
+// print a byte-identical report at 1, 4, and 8 host workers
+// (fleet.Sweep over the report text). This is the in-repo mirror of
+// the CI scenario-matrix job, so a scenario that regresses fails
+// `go test ./...` before it ever reaches CI.
 
 import (
-	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/fleet"
 	"repro/internal/scenario"
 )
 
@@ -37,11 +40,10 @@ func TestScenarioLibrary(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse: %v", err)
 			}
-			var first bytes.Buffer
-			for _, par := range []int{1, 4, 8} {
+			_, _, err = fleet.Sweep([]int{1, 4, 8}, func(par int) (string, error) {
 				out, err := scenario.Run(sp, scenario.Options{Par: par})
 				if err != nil {
-					t.Fatalf("par=%d: %v", par, err)
+					return "", fmt.Errorf("par=%d: %w", par, err)
 				}
 				if !out.Pass {
 					for _, a := range out.Asserts {
@@ -50,17 +52,14 @@ func TestScenarioLibrary(t *testing.T) {
 								par, a.Metric, a.Op, a.Bound, a.Got)
 						}
 					}
-					t.Fatalf("par=%d: committed-seed assertions failed", par)
+					return "", fmt.Errorf("par=%d: committed-seed assertions failed", par)
 				}
-				var rep bytes.Buffer
+				var rep strings.Builder
 				out.WriteReport(&rep)
-				if par == 1 {
-					first = rep
-					continue
-				}
-				if !bytes.Equal(first.Bytes(), rep.Bytes()) {
-					t.Fatalf("par=%d report differs from par=1; worker count leaked into the run", par)
-				}
+				return rep.String(), nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
