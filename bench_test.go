@@ -163,6 +163,62 @@ func BenchmarkKernelScheduleStep(b *testing.B) {
 	}
 }
 
+// BenchmarkEventQueue measures the future-event heap in steady state:
+// `pending` events stay queued while each op pops the earliest (one
+// Step) and its callback pushes a replacement 1..pending µs later, so
+// instants repeat and ties fall to insertion order. perfbench's harvest
+// averages about 43 pending events and failover about 550.
+func BenchmarkEventQueue(b *testing.B) {
+	for _, pending := range []int{64, 1024} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			b.ReportAllocs()
+			k := sim.NewKernel(1)
+			rng := rand.New(rand.NewSource(1))
+			delays := make([]time.Duration, 4096)
+			for i := range delays {
+				delays[i] = time.Duration(1+rng.Intn(pending)) * time.Microsecond
+			}
+			n := 0
+			var rearm func()
+			rearm = func() {
+				n++
+				k.After(delays[n%len(delays)], rearm)
+			}
+			for i := 0; i < pending; i++ {
+				k.After(delays[i], rearm)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.Step()
+			}
+			b.StopTimer()
+			if k.Pending() != pending {
+				b.Fatalf("pending = %d, want %d", k.Pending(), pending)
+			}
+		})
+	}
+}
+
+// BenchmarkThreadCompute measures a proclet thread's Compute round
+// trip: submit to the processor-sharing machine, the completion event,
+// and the thread's wake. One op is one Compute call.
+func BenchmarkThreadCompute(b *testing.B) {
+	b.ReportAllocs()
+	sys := benchSystem()
+	defer sys.K.Close()
+	pr, err := sys.Runtime.Spawn("compute", 0, 1024)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pr.SpawnThread("loop", func(t *proclet.Thread) {
+		for i := 0; i < b.N; i++ {
+			t.Compute(10 * time.Microsecond)
+		}
+	})
+	b.ResetTimer()
+	sys.K.Run()
+}
+
 // BenchmarkProcSwitch measures process park and resume: two
 // processes ping-pong, either by yielding the instant to each other or
 // through a pair of unbuffered sim.Chans. One op is one round trip, in

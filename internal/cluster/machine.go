@@ -46,9 +46,10 @@ type MachineConfig struct {
 }
 
 // Task is one single-threaded unit of CPU work executing under
-// processor sharing. Tasks are created with Submit and either run to
-// completion or are canceled (for example when their proclet migrates
-// and the remaining work should move to another machine).
+// processor sharing. Tasks are created with Submit (or SubmitInto, into
+// caller-owned storage) and either run to completion or are canceled
+// (for example when their proclet migrates and the remaining work
+// should move to another machine).
 type Task struct {
 	m  *Machine
 	id int64
@@ -126,11 +127,12 @@ type Machine struct {
 	// re-arming allocates nothing.
 	completeFn func(gen uint64)
 
-	// taskSlab block-allocates Task structs so high-churn workloads pay
-	// one allocation per slabSize submissions instead of one each. Slots
-	// are never recycled: a retired Task stays valid (Remaining, Wait,
-	// Cancel are all legal on finished tasks) and its slab block is
-	// garbage-collected once every task in it is unreachable.
+	// taskSlab block-allocates the Task structs Submit hands out, one
+	// allocation per slabSize submissions. Slots are never recycled: a
+	// retired Task stays valid (Remaining, Wait, Cancel are all legal on
+	// finished tasks) and its slab block is garbage-collected once every
+	// task in it is unreachable. Callers that own their Task storage
+	// (proclet threads) use SubmitInto and never touch the slab.
 	taskSlab []Task
 
 	memUsed int64
@@ -441,33 +443,45 @@ func (m *Machine) Restart() {
 // handle. The caller typically Waits on it; a controller may Cancel it.
 // Work must be positive.
 func (m *Machine) Submit(work time.Duration) *Task {
-	if work <= 0 {
-		panic("cluster: Submit requires positive work")
-	}
-	m.settle()
-	m.nextTaskID++
 	const slabSize = 64
 	if len(m.taskSlab) == 0 {
 		m.taskSlab = make([]Task, slabSize)
 	}
 	t := &m.taskSlab[0]
 	m.taskSlab = m.taskSlab[1:]
+	m.SubmitInto(t, work)
+	return t
+}
+
+// SubmitInto is Submit into caller-owned storage: it enqueues `work` as
+// task t, which must be zero or retired (completed or canceled). A
+// caller that runs one task at a time, such as a proclet thread, reuses
+// one Task and submits without allocating.
+func (m *Machine) SubmitInto(t *Task, work time.Duration) {
+	if work <= 0 {
+		panic("cluster: Submit requires positive work")
+	}
+	if t.m != nil && !t.finished {
+		panic("cluster: SubmitInto on a task that is still running")
+	}
+	m.settle()
+	m.nextTaskID++
 	t.m = m
 	t.id = m.nextTaskID
+	t.vfinish = m.attained + float64(work)
+	t.remaining = 0
+	t.finished, t.canceled = false, false
 	if m.down {
 		// A dead machine executes nothing: hand back the task already
 		// canceled, with all of its work as the remainder.
-		t.vfinish = m.attained + float64(work)
 		t.remaining = float64(work)
 		t.heapIdx = -1
 		t.finished, t.canceled = true, true
-		return t
+		return
 	}
-	t.vfinish = m.attained + float64(work)
 	m.heapPush(t)
 	m.recordUtil()
 	m.reschedule()
-	return t
 }
 
 // Exec runs `work` of single-core CPU time on the machine, blocking the

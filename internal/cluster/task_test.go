@@ -108,3 +108,41 @@ func TestTaskCancelStalledByReservation(t *testing.T) {
 		t.Errorf("remaining = %v, want full 7ms", rem)
 	}
 }
+
+func TestSubmitIntoReusesRetiredTask(t *testing.T) {
+	// One Task storage runs three tasks back to back: a canceled one, a
+	// completed one, then one that must not inherit either's state.
+	k, m := newTestMachine(t, 1, 0)
+	var task Task
+	var got []time.Duration
+	var doneAt sim.Time
+	k.Spawn("w", func(p *sim.Proc) {
+		m.SubmitInto(&task, 10*time.Millisecond)
+		_, rem := task.Wait(p)
+		got = append(got, rem)
+		m.SubmitInto(&task, rem)
+		_, rem = task.Wait(p)
+		got = append(got, rem)
+		m.SubmitInto(&task, time.Millisecond)
+		if task.Canceled() {
+			t.Error("resubmitted task still reports canceled")
+		}
+		task.Wait(p)
+		doneAt = p.Now()
+	})
+	k.Schedule(4*sim.Millisecond, func() { task.Cancel() })
+	k.Run()
+	if len(got) != 2 || got[0] != 6*time.Millisecond || got[1] != 0 {
+		t.Errorf("remainders = %v, want [6ms 0s]", got)
+	}
+	if doneAt != 11*sim.Millisecond {
+		t.Errorf("last task done at %v, want 11ms", doneAt)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("SubmitInto on a running task did not panic")
+		}
+	}()
+	m.SubmitInto(&task, time.Millisecond)
+	m.SubmitInto(&task, time.Millisecond)
+}

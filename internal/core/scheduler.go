@@ -550,10 +550,12 @@ func (sc *Scheduler) colocate(p *sim.Proc) {
 		if pi.pinned || pi.pr.State() != proclet.StateRunning {
 			continue
 		}
+		// Heaviest peer; equal volumes go to the lowest peer ID, so the
+		// choice never depends on map iteration order.
 		var bestPeer proclet.ID
 		var bestBytes int64
 		for peer, bytes := range pi.pr.CommBytes() {
-			if bytes > bestBytes {
+			if bytes > bestBytes || bytes == bestBytes && bytes > 0 && peer < bestPeer {
 				bestPeer, bestBytes = peer, bytes
 			}
 		}

@@ -254,6 +254,30 @@ func TestAffinityColocation(t *testing.T) {
 	}
 }
 
+func TestColocateTieGoesToLowestPeerID(t *testing.T) {
+	// A proclet exchanges the same volume with two peers on different
+	// machines. The lower-ID peer sits on the higher-numbered machine,
+	// so neither machine order nor map order can pass for the rule.
+	for run := 0; run < 64; run++ {
+		s := testSystem(t,
+			cluster.MachineConfig{Cores: 8, MemBytes: 1 << 30},
+			cluster.MachineConfig{Cores: 8, MemBytes: 1 << 30},
+			cluster.MachineConfig{Cores: 8, MemBytes: 1 << 30})
+		low, _ := NewMemoryProcletOn(s, "peer-low", 2)
+		high, _ := NewMemoryProcletOn(s, "peer-high", 1)
+		mp, _ := NewMemoryProcletOn(s, "talker", 0)
+		bytes := s.Config().AffinityBytes
+		mp.Proclet().CommBytes()[low.ID()] = bytes
+		mp.Proclet().CommBytes()[high.ID()] = bytes
+		s.K.Spawn("global", func(p *sim.Proc) { s.Sched.colocate(p) })
+		s.K.Run()
+		if got := mp.Proclet().Location(); got != 2 {
+			t.Fatalf("run %d: talker on machine %d, want 2 (peer %d's machine)", run, got, low.ID())
+		}
+		s.K.Close()
+	}
+}
+
 func TestAdaptiveLoopRuns(t *testing.T) {
 	s := testSystem(t)
 	count := 0

@@ -15,6 +15,7 @@ package proclet
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -123,7 +124,10 @@ type Proclet struct {
 	residentAt sim.Time // when the last post-copy window closed
 
 	nextThread int64
-	tasks      map[*cluster.Task]struct{} // outstanding thread compute
+	// tasks holds the outstanding thread compute in submit order, so a
+	// migration or crash cancels it, and so wakes its threads, in a
+	// fixed order. Each entry is a Thread's own Task.
+	tasks []*cluster.Task
 
 	commBytes map[ID]int64 // affinity: bytes exchanged per peer proclet
 	invokes   metrics.Counter
@@ -269,6 +273,25 @@ func (c *Ctx) Call(target ID, method string, arg Msg) (Msg, error) {
 // Runtime returns the owning runtime.
 func (c *Ctx) Runtime() *Runtime { return c.Self.rt }
 
+// cancelTasks suspends all outstanding thread compute, in submit order.
+// Each canceled thread wakes, sees the proclet is no longer running and
+// parks on unblocked until its remainder can resume elsewhere.
+func (pr *Proclet) cancelTasks() {
+	for _, task := range pr.tasks {
+		task.Cancel()
+	}
+	clear(pr.tasks)
+	pr.tasks = pr.tasks[:0]
+}
+
+// dropTask removes a retired task from the outstanding list; it is a
+// no-op when cancelTasks already cleared the list.
+func (pr *Proclet) dropTask(task *cluster.Task) {
+	if i := slices.Index(pr.tasks, task); i >= 0 {
+		pr.tasks = slices.Delete(pr.tasks, i, i+1)
+	}
+}
+
 // Thread is a proclet thread: long-running computation that belongs to
 // the proclet and follows it across migrations. When the proclet
 // migrates, in-flight Compute work is suspended and its remainder
@@ -279,6 +302,10 @@ type Thread struct {
 	proc *sim.Proc
 	base string // thread name as given to SpawnThread
 	idx  int64  // per-proclet thread ordinal
+
+	// task is the storage for the thread's one outstanding Compute
+	// task, resubmitted on each call so compute allocates nothing.
+	task cluster.Task
 }
 
 // SpawnThread starts fn on a new thread of the proclet. The thread's
@@ -322,11 +349,11 @@ func (t *Thread) Compute(d time.Duration) {
 			pr.unblocked.Wait(t.proc)
 			continue
 		}
-		m := pr.rt.Cluster.Machine(pr.machine)
-		task := m.Submit(d)
-		pr.tasks[task] = struct{}{}
+		task := &t.task
+		pr.rt.Cluster.Machine(pr.machine).SubmitInto(task, d)
+		pr.tasks = append(pr.tasks, task)
 		canceled, rem := task.Wait(t.proc)
-		delete(pr.tasks, task)
+		pr.dropTask(task)
 		if !canceled {
 			return
 		}

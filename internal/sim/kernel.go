@@ -75,12 +75,11 @@ const (
 	evStart                    // first resume of a freshly spawned p
 )
 
-// eventLess orders events by (time, insertion sequence).
-func eventLess(a, b event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// keyLess orders events by (time, insertion sequence). It takes the
+// two keys rather than the events so the heap compares in registers
+// instead of copying 56-byte events.
+func keyLess(at Time, seq uint64, bt Time, bseq uint64) bool {
+	return at < bt || at == bt && seq < bseq
 }
 
 // Kernel is a deterministic discrete-event simulator.
@@ -94,14 +93,14 @@ type Kernel struct {
 	seq uint64
 
 	// The event queue is split in two. Events scheduled for a future
-	// instant go through a hand-rolled binary min-heap over a value
-	// slice. Events scheduled at exactly the current instant — the
-	// dominant case: wakes, Yield, same-instant event chains — take a
-	// FIFO fast path that bypasses the heap entirely. FIFO order within
-	// nowq equals (time, seq) order because entries are appended with
-	// nondecreasing timestamps and increasing sequence numbers; pop
-	// compares the FIFO head against the heap top so global (time, seq)
-	// order is preserved exactly.
+	// instant go through a hand-rolled 4-ary min-heap over a value
+	// slice (heapPush/heapPop). Events scheduled at exactly the current
+	// instant — the dominant case: wakes, Yield, same-instant event
+	// chains — take a FIFO fast path that bypasses the heap entirely.
+	// FIFO order within nowq equals (time, seq) order because entries
+	// are appended with nondecreasing timestamps and increasing
+	// sequence numbers; pop compares the FIFO head against the heap top
+	// so global (time, seq) order is preserved exactly.
 	heap    []event
 	nowq    []event
 	nowHead int
@@ -185,44 +184,60 @@ func (k *Kernel) push(at Time, e event) {
 	k.heapPush(e)
 }
 
-// heapPush inserts e into the future-event heap.
+// heapArity is the fan-out of the future-event heap. A 4-ary heap is
+// half as deep as a binary one, so a pop moves the hole down half as
+// many levels; the four children it compares per level sit in 224
+// contiguous bytes.
+const heapArity = 4
+
+// heapPush inserts e into the future-event heap. It sifts a hole up
+// from the new leaf, moving each later parent down one level, and
+// writes e once where the hole stops.
 func (k *Kernel) heapPush(e event) {
-	h := append(k.heap, e)
+	h := append(k.heap, event{})
 	i := len(h) - 1
 	for i > 0 {
-		p := (i - 1) / 2
-		if !eventLess(h[i], h[p]) {
+		p := (i - 1) / heapArity
+		if !keyLess(e.at, e.seq, h[p].at, h[p].seq) {
 			break
 		}
-		h[i], h[p] = h[p], h[i]
+		h[i] = h[p]
 		i = p
 	}
+	h[i] = e
 	k.heap = h
 }
 
-// heapPop removes and returns the minimum future event.
+// heapPop removes and returns the minimum future event. The root
+// becomes a hole that sinks toward the earliest child until the former
+// last leaf fits, which is then written once.
 func (k *Kernel) heapPop() event {
 	h := k.heap
 	top := h[0]
 	n := len(h) - 1
-	h[0] = h[n]
+	last := h[n]
 	h[n] = event{} // release the closure to the GC
 	h = h[:n]
 	i := 0
 	for {
-		l := 2*i + 1
-		if l >= n {
+		c := heapArity*i + 1
+		if c >= n {
 			break
 		}
-		m := l
-		if r := l + 1; r < n && eventLess(h[r], h[l]) {
-			m = r
+		m, mat, mseq := c, h[c].at, h[c].seq
+		for j := c + 1; j < min(c+heapArity, n); j++ {
+			if keyLess(h[j].at, h[j].seq, mat, mseq) {
+				m, mat, mseq = j, h[j].at, h[j].seq
+			}
 		}
-		if !eventLess(h[m], h[i]) {
+		if !keyLess(mat, mseq, last.at, last.seq) {
 			break
 		}
-		h[i], h[m] = h[m], h[i]
+		h[i] = h[m]
 		i = m
+	}
+	if n > 0 {
+		h[i] = last
 	}
 	k.heap = h
 	return top
@@ -257,7 +272,8 @@ func (k *Kernel) pop() (event, bool) {
 	hn := len(k.heap) > 0
 	switch {
 	case qn && hn:
-		if eventLess(k.heap[0], k.nowq[k.nowHead]) {
+		h, q := &k.heap[0], &k.nowq[k.nowHead]
+		if keyLess(h.at, h.seq, q.at, q.seq) {
 			return k.heapPop(), true
 		}
 		return k.nowqPop(), true
